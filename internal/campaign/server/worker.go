@@ -206,6 +206,12 @@ func (w *Worker) Run(ctx context.Context) error {
 	if poll <= 0 {
 		poll = DefaultPoll
 	}
+	// A transport can dial a connection it then never sends a request on
+	// (another request freed a pooled one first). net/http's graceful
+	// Shutdown waits up to 5 s before treating such a connection as idle,
+	// so a finished worker closes its idle connections rather than hold
+	// the server's shutdown open.
+	defer w.client().CloseIdleConnections()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err

@@ -155,11 +155,13 @@ func TestMixInjectiveOnSample(t *testing.T) {
 	}
 }
 
+// TestItoa pins SplitIndex's decimal index formatting in child paths.
 func TestItoa(t *testing.T) {
 	cases := map[int]string{0: "0", 1: "1", -1: "-1", 12345: "12345", -987: "-987"}
+	node := New(1).Split("node")
 	for in, want := range cases {
-		if got := itoa(in); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", in, got, want)
+		if got := node.SplitIndex("walker", in).Name(); got != "node/walker#"+want {
+			t.Errorf("SplitIndex(walker, %d).Name() = %q, want %q", in, got, "node/walker#"+want)
 		}
 	}
 }
