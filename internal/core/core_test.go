@@ -279,6 +279,7 @@ type pinned struct{ pos []geo.Point }
 func (p *pinned) Position(id int, _ float64) geo.Point { return p.pos[id] }
 func (p *pinned) N() int                               { return len(p.pos) }
 func (p *pinned) Field() geo.Rect                      { return field }
+func (p *pinned) MaxSpeed() float64                    { return 0 }
 
 func TestNotifyAndGoCoverTraffic(t *testing.T) {
 	cfg := DefaultConfig()

@@ -26,6 +26,31 @@ func (p Point) Dist2(q Point) float64 {
 	return dx*dx + dy*dy
 }
 
+// withinBand is the relative margin around r² inside which Within defers to
+// the exact Dist comparison. It dwarfs the few-ulp rounding of dx²+dy², r²
+// and Hypot, so outside it the squared test cannot disagree with Dist.
+const withinBand = 1e-9
+
+// Within reports whether q lies within distance r of p. It returns exactly
+// p.Dist(q) <= r, but decides from dx²+dy² — no square root — whenever that
+// value is clear of r² by more than a relative withinBand. Pairs inside the
+// band, and radii outside [1e-100, 1e100] (where r² or the squares could
+// underflow or overflow, or r is negative, NaN or infinite), fall back to
+// Dist itself, so the answer is always Dist's.
+func (p Point) Within(q Point, r float64) bool {
+	dx, dy := p.X-q.X, p.Y-q.Y
+	if r >= 1e-100 && r <= 1e100 {
+		d2, r2 := dx*dx+dy*dy, r*r
+		if d2 < r2*(1-withinBand) {
+			return true
+		}
+		if d2 > r2*(1+withinBand) {
+			return false
+		}
+	}
+	return math.Hypot(dx, dy) <= r
+}
+
 // Add returns p translated by (dx, dy).
 func (p Point) Add(dx, dy float64) Point { return Point{p.X + dx, p.Y + dy} }
 

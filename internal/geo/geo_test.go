@@ -443,3 +443,72 @@ func TestSeparateReconstructsCanonicalHierarchy(t *testing.T) {
 		}
 	}
 }
+
+// TestWithinMatchesDist pins Within to the exact Dist comparison on the
+// cases the squared fast path could get wrong: radii exactly at, and one
+// ulp either side of, the computed distance; degenerate and extreme
+// magnitudes; and non-finite inputs.
+func TestWithinMatchesDist(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	type tc struct {
+		name string
+		p, q Point
+		r    float64
+	}
+	cases := []tc{
+		{"zero distance", Point{5, 5}, Point{5, 5}, 0},
+		{"zero distance tiny r", Point{5, 5}, Point{5, 5}, 1e-300},
+		{"zero distance negative r", Point{5, 5}, Point{5, 5}, -1},
+		{"negative r", Point{0, 0}, Point{1, 0}, -5},
+		{"huge apart", Point{-1e200, 0}, Point{1e200, 0}, 250},
+		{"huge apart huge r", Point{-1e200, 0}, Point{1e200, 0}, 1e201},
+		{"squares overflow", Point{0, 0}, Point{1e160, 1e160}, 1e90},
+		{"squares underflow", Point{0, 0}, Point{3e-162, 0}, 2e-162},
+		{"subnormal sum", Point{0, 0}, Point{1.1e-162, 1.1e-162}, 1.6e-162},
+		{"NaN coordinate", Point{nan, 0}, Point{0, 0}, 250},
+		{"NaN radius", Point{0, 0}, Point{1, 1}, nan},
+		{"Inf coordinate", Point{inf, 0}, Point{0, 0}, 250},
+		{"Inf radius", Point{0, 0}, Point{1e300, 1e300}, inf},
+		{"Inf minus Inf", Point{inf, 0}, Point{inf, 0}, 250},
+		{"Inf and NaN", Point{inf, nan}, Point{0, 0}, inf},
+	}
+	for _, pair := range [][2]Point{
+		{{0, 0}, {3, 4}},
+		{{0, 0}, {250, 0}},
+		{{100.1, 200.7}, {300.3, 31.9}},
+		{{0.3, 0.1}, {0.1, 0.7}},
+		{{999.999, 0.001}, {750.5, 0.25}},
+	} {
+		d := pair[0].Dist(pair[1])
+		for _, r := range []float64{d, math.Nextafter(d, inf), math.Nextafter(d, -inf)} {
+			cases = append(cases, tc{"boundary", pair[0], pair[1], r})
+		}
+	}
+	for _, c := range cases {
+		want := c.p.Dist(c.q) <= c.r
+		if got := c.p.Within(c.q, c.r); got != want {
+			t.Errorf("%s: %v.Within(%v, %v) = %v, Dist %v <= r is %v",
+				c.name, c.p, c.q, c.r, got, c.p.Dist(c.q), want)
+		}
+	}
+}
+
+// FuzzWithinMatchesDist checks the Within contract on arbitrary inputs: the
+// squared fast path must never disagree with Dist.
+func FuzzWithinMatchesDist(f *testing.F) {
+	f.Add(0.0, 0.0, 3.0, 4.0, 5.0)
+	f.Add(0.0, 0.0, 250.0, 0.0, 250.0)
+	f.Add(1e200, 0.0, -1e200, 0.0, 1e201)
+	f.Add(0.0, 0.0, 1.1e-162, 1.1e-162, 1.6e-162)
+	f.Add(math.NaN(), 0.0, 0.0, 0.0, 1.0)
+	f.Add(math.Inf(1), 0.0, 0.0, 0.0, math.Inf(1))
+	f.Fuzz(func(t *testing.T, px, py, qx, qy, r float64) {
+		p, q := Point{px, py}, Point{qx, qy}
+		d := p.Dist(q)
+		for _, rr := range []float64{r, d, math.Nextafter(d, math.Inf(1)), math.Nextafter(d, math.Inf(-1))} {
+			if got, want := p.Within(q, rr), d <= rr; got != want {
+				t.Fatalf("%v.Within(%v, %v) = %v, Dist %v <= r is %v", p, q, rr, got, d, want)
+			}
+		}
+	})
+}

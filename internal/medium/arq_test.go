@@ -29,6 +29,9 @@ func (w *windowModel) Position(id int, t float64) geo.Point {
 func (w *windowModel) N() int          { return len(w.base) }
 func (w *windowModel) Field() geo.Rect { return field }
 
+// MaxSpeed implements mobility.Model: the teleport is a jump.
+func (w *windowModel) MaxSpeed() float64 { return math.Inf(1) }
+
 // noJitter returns the default ARQ parameters with the MAC jitter removed so
 // every transmission and backoff lands at an exactly computable instant.
 func noJitter() Params {

@@ -300,6 +300,16 @@ type beaconCache struct {
 	posGrid
 }
 
+// ensureBeacons brings the beacon cache to the current hello tick and
+// returns that tick.
+func (m *Medium) ensureBeacons() int {
+	tick := m.helloTick()
+	if !m.beacons.valid || m.beacons.tick != tick {
+		m.beacons.build(m, tick)
+	}
+	return tick
+}
+
 func (b *beaconCache) build(m *Medium, tick int) {
 	b.tick = tick
 	b.valid = true
@@ -650,7 +660,7 @@ func (s *arqSend) arrive() {
 	now := m.eng.Now()
 	pf := m.mob.Position(int(s.from), now)
 	pt := m.mob.Position(int(s.to), now)
-	if pf.Dist(pt) > m.par.Range {
+	if !pf.Within(pt, m.par.Range) {
 		m.counters.DroppedRange++
 		if m.tap != nil {
 			m.tap.FrameLost(now, int(s.from), int(s.to), telemetry.TraceOf(s.payload), "range")
@@ -724,7 +734,7 @@ func (s *arqSend) ackArrive() {
 	now := m.eng.Now()
 	pt := m.mob.Position(int(s.to), now)
 	pf := m.mob.Position(int(s.from), now)
-	if pt.Dist(pf) > m.par.Range || m.src.Bernoulli(m.par.LossRate) {
+	if !pt.Within(pf, m.par.Range) || m.src.Bernoulli(m.par.LossRate) {
 		m.counters.AcksLost++
 		if m.tap != nil {
 			m.tap.AckLost(now, int(s.to), int(s.from), telemetry.TraceOf(s.payload))
@@ -804,16 +814,23 @@ type bcastSend struct {
 }
 
 // RunEvent implements sim.Runner: the frame reaches every node in range.
-// The range filter — every receiver's position against the sender's — is
-// pure per-node geometry, so it forks across the worker pool; deliveries
-// then run sequentially in ascending id order, which keeps the loss-coin
-// draw sequence (one draw per in-range receiver) byte-identical to the
-// serial sweep.
+// Candidates come from the current hello tick's beacon snapshot: a node
+// beaconed farther from the sender than sweepSnapshot's reach cannot have
+// closed the gap since the tick (mobility.Model's MaxSpeed bound), so it is
+// out of range without evaluating its trajectory.
+// Survivors get the exact Within test at their true position now. The range
+// filter is pure per-node geometry, so it forks across the worker pool;
+// deliveries then run sequentially in ascending id order, which keeps the
+// loss-coin draw sequence (one draw per in-range receiver) byte-identical to
+// the serial sweep.
 func (b *bcastSend) RunEvent() {
 	m := b.m
 	from, payload, size := b.from, b.payload, b.size
 	now := m.eng.Now()
 	pf := m.mob.Position(int(from), now)
+	r := m.par.Range
+	snap, reach2 := m.sweepSnapshot(now)
+	bf := snap[from]
 	n := len(m.handlers)
 	// The in-range mask exists only for the parallel sweep; the serial
 	// path checks distance inline during delivery (and so allocates
@@ -829,7 +846,7 @@ func (b *bcastSend) RunEvent() {
 		}
 		w.For(n, func(lo, hi int) {
 			for id := lo; id < hi; id++ {
-				in[id] = pf.Dist(m.mob.Position(id, now)) <= m.par.Range
+				in[id] = !(bf.Dist2(snap[id]) > reach2) && pf.Within(m.mob.Position(id, now), r)
 			}
 		})
 	}
@@ -841,7 +858,7 @@ func (b *bcastSend) RunEvent() {
 		if in != nil {
 			inRange = in[id]
 		} else {
-			inRange = pf.Dist(m.mob.Position(id, now)) <= m.par.Range
+			inRange = !(bf.Dist2(snap[id]) > reach2) && pf.Within(m.mob.Position(id, now), r)
 		}
 		if !inRange {
 			// Out-of-range receivers of a broadcast are physics, not
@@ -870,6 +887,23 @@ func (b *bcastSend) RunEvent() {
 	}
 	b.payload = nil
 	m.bcastFree = append(m.bcastFree, b)
+}
+
+// sweepSnapshot returns the current hello tick's beacon positions and the
+// squared prefilter radius for a broadcast at now: each endpoint may have
+// moved at most MaxSpeed*(now - beacon time) since the snapshot, so a pair
+// beaconed farther apart than Range plus twice that is out of range now. The
+// 1e-6*Range slack absorbs the float rounding of positions, times and the
+// squared distance, so the prefilter only ever skips nodes the exact test
+// rejects. A model without a finite speed bound gets +Inf: no skipping.
+func (m *Medium) sweepSnapshot(now float64) ([]geo.Point, float64) {
+	tick := m.ensureBeacons()
+	r := m.par.Range
+	reach := r + 2*m.mob.MaxSpeed()*(now-float64(tick)*m.par.HelloInterval) + 1e-6*r
+	if math.IsNaN(reach) || math.IsInf(reach, 0) {
+		return m.beacons.pos, math.Inf(1)
+	}
+	return m.beacons.pos, reach * reach
 }
 
 // helloTick returns the index of the most recent hello beacon: the largest
@@ -920,10 +954,7 @@ func (m *Medium) Neighbors(id NodeID) []Neighbor {
 // allocating. The result is only valid until the caller's next NeighborsInto
 // with the same destination.
 func (m *Medium) NeighborsInto(id NodeID, dst []Neighbor) []Neighbor {
-	tick := m.helloTick()
-	if !m.beacons.valid || m.beacons.tick != tick {
-		m.beacons.build(m, tick)
-	}
+	m.ensureBeacons()
 	self := m.beacons.pos[id]
 	out := dst[:0]
 	// Scan the 3x3 cell block covering every candidate within one Range of
@@ -937,7 +968,7 @@ func (m *Medium) NeighborsInto(id NodeID, dst []Neighbor) []Neighbor {
 					continue
 				}
 				p := m.beacons.pos[other]
-				if self.Dist(p) <= m.par.Range {
+				if self.Within(p, m.par.Range) {
 					out = append(out, Neighbor{ID: other, Pos: p})
 				}
 			}

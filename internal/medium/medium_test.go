@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"math"
 	"testing"
 
 	"alertmanet/internal/geo"
@@ -19,6 +20,7 @@ type fixedModel struct {
 func (f *fixedModel) Position(id int, _ float64) geo.Point { return f.pos[id] }
 func (f *fixedModel) N() int                               { return len(f.pos) }
 func (f *fixedModel) Field() geo.Rect                      { return field }
+func (f *fixedModel) MaxSpeed() float64                    { return 0 }
 
 func newFixed(pos ...geo.Point) *fixedModel { return &fixedModel{pos: pos} }
 
@@ -247,6 +249,13 @@ func (m *movingModel) Position(id int, t float64) geo.Point {
 }
 func (m *movingModel) N() int          { return len(m.start) }
 func (m *movingModel) Field() geo.Rect { return field }
+func (m *movingModel) MaxSpeed() float64 {
+	v := 0.0
+	for _, d := range m.vel {
+		v = max(v, math.Hypot(d.X, d.Y))
+	}
+	return v
+}
 
 // TestNeighborsExactBeaconInstant regresses the helloTime tick-boundary bug:
 // with an awkward HelloInterval like 0.3 s, querying Neighbors at the exact

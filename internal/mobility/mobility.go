@@ -24,6 +24,14 @@ type Model interface {
 	N() int
 	// Field returns the network area nodes move within.
 	Field() geo.Rect
+	// MaxSpeed bounds how fast any node moves: for every id and times
+	// t0, t1 >= 0, |Position(id, t1) - Position(id, t0)| <=
+	// MaxSpeed() * |t1 - t0| (up to float rounding). It is a property of
+	// the model, not a setting: 0 for a model whose nodes never move, +Inf
+	// for one whose nodes may jump. The medium's broadcast sweep relies on
+	// it to skip receivers that cannot have come into range since the last
+	// beacon snapshot.
+	MaxSpeed() float64
 }
 
 // Forker runs fn over a disjoint partition of [0, n) and returns when every
@@ -52,6 +60,7 @@ type leg struct {
 	t0       float64
 	from, to geo.Point
 	speed    float64
+	dist     float64 // from.Dist(to), cached for at's interpolation
 	arrive   float64 // time the node reaches 'to'
 	pauseEnd float64 // end of post-arrival pause; next leg starts here
 }
@@ -102,7 +111,7 @@ func (w *walker) extend(t float64) {
 		}
 		arrive = t0 + d/speed
 		w.legs = append(w.legs, leg{t0: t0, from: cur, to: to, speed: speed,
-			arrive: arrive, pauseEnd: arrive + w.pause})
+			dist: d, arrive: arrive, pauseEnd: arrive + w.pause})
 	}
 }
 
@@ -111,7 +120,11 @@ func (w *walker) at(t float64) geo.Point {
 	if t < 0 {
 		t = 0
 	}
-	w.extend(t)
+	// Inline the already-covered check: once a trajectory reaches past t,
+	// extend's loop setup is pure overhead on the hot position path.
+	if n := len(w.legs); n == 0 || w.legs[n-1].pauseEnd <= t {
+		w.extend(t)
+	}
 	// Binary search for the leg containing t.
 	i := sort.Search(len(w.legs), func(i int) bool { return w.legs[i].pauseEnd > t })
 	if i == len(w.legs) {
@@ -121,7 +134,7 @@ func (w *walker) at(t float64) geo.Point {
 	if l.speed == 0 || t >= l.arrive {
 		return l.to
 	}
-	frac := (t - l.t0) * l.speed / l.from.Dist(l.to)
+	frac := (t - l.t0) * l.speed / l.dist
 	if frac > 1 {
 		frac = 1
 	}
@@ -133,9 +146,10 @@ func (w *walker) at(t float64) geo.Point {
 // line at its speed, optionally pausing on arrival. The paper moves nodes at
 // a fixed speed (2 m/s default, up to 8 m/s in sweeps) with no pause.
 type RandomWaypoint struct {
-	field   geo.Rect
-	walkers []*walker
-	warmup  float64
+	field    geo.Rect
+	walkers  []*walker
+	warmup   float64
+	maxSpeed float64
 }
 
 // Config holds the common mobility parameters.
@@ -158,6 +172,11 @@ type Config struct {
 	Fork Forker `json:"-"`
 }
 
+// speedBound is the fastest any walker built from the config can move: a
+// leg's speed is MinSpeed, or uniform in [MinSpeed, MaxSpeed], and a
+// non-positive speed means a stationary node.
+func (c Config) speedBound() float64 { return max(c.MinSpeed, c.MaxSpeed, 0) }
+
 // Fixed returns a Config with a single fixed speed and no pause.
 func Fixed(speed float64) Config {
 	return Config{MinSpeed: speed, MaxSpeed: speed}
@@ -165,7 +184,8 @@ func Fixed(speed float64) Config {
 
 // NewRandomWaypoint creates a random waypoint model for n nodes on field.
 func NewRandomWaypoint(field geo.Rect, n int, cfg Config, src *rng.Source) *RandomWaypoint {
-	m := &RandomWaypoint{field: field, walkers: make([]*walker, n), warmup: cfg.Warmup}
+	m := &RandomWaypoint{field: field, walkers: make([]*walker, n), warmup: cfg.Warmup,
+		maxSpeed: cfg.speedBound()}
 	// SplitIndex derives each stream from the immutable parent seed, and
 	// every walker draws only from its own stream, so construction order is
 	// free: the parallel build is trajectory-identical to the serial one.
@@ -196,6 +216,9 @@ func (m *RandomWaypoint) N() int { return len(m.walkers) }
 // Field implements Model.
 func (m *RandomWaypoint) Field() geo.Rect { return m.field }
 
+// MaxSpeed implements Model: no leg is faster than the config's speed bound.
+func (m *RandomWaypoint) MaxSpeed() float64 { return m.maxSpeed }
+
 // Static places nodes uniformly at random and never moves them.
 type Static struct {
 	field     geo.Rect
@@ -221,6 +244,9 @@ func (s *Static) N() int { return len(s.positions) }
 // Field implements Model.
 func (s *Static) Field() geo.Rect { return s.field }
 
+// MaxSpeed implements Model: static nodes never move.
+func (s *Static) MaxSpeed() float64 { return 0 }
+
 // GroupMobility is the reference point group mobility model [18]: nodes are
 // divided into groups; each group has a logical reference point performing
 // random waypoint movement over the field, and each member wanders within a
@@ -232,6 +258,7 @@ type GroupMobility struct {
 	local      []*walker // one per node, in a box centered at the origin
 	groupOf    []int
 	groupRange float64
+	maxSpeed   float64
 }
 
 // NewGroupMobility creates a group mobility model: n nodes in numGroups
@@ -248,6 +275,10 @@ func NewGroupMobility(field geo.Rect, n, numGroups int, groupRange float64,
 		local:      make([]*walker, n),
 		groupOf:    make([]int, n),
 		groupRange: groupRange,
+		// The reference point moves at up to the config's speed bound and
+		// the local offset at up to half of it; Clamp is a projection onto
+		// the field, so it never lengthens a step.
+		maxSpeed: 1.5 * cfg.speedBound(),
 	}
 	// Shrink the reference field so member boxes stay mostly inside.
 	half := groupRange / 2
@@ -314,6 +345,9 @@ func (g *GroupMobility) N() int { return len(g.local) }
 
 // Field implements Model.
 func (g *GroupMobility) Field() geo.Rect { return g.field }
+
+// MaxSpeed implements Model: reference speed plus local drift speed.
+func (g *GroupMobility) MaxSpeed() float64 { return g.maxSpeed }
 
 // Groups returns the number of groups.
 func (g *GroupMobility) Groups() int { return len(g.refs) }

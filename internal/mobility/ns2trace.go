@@ -17,6 +17,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,14 +35,17 @@ type traceLeg struct {
 
 // TraceModel replays an NS-2 movement script.
 type TraceModel struct {
-	field   geo.Rect
-	initial []geo.Point
-	legs    [][]traceLeg // per node, sorted by t0
+	field    geo.Rect
+	initial  []geo.Point
+	legs     [][]traceLeg // per node, sorted by t0
+	maxSpeed float64      // largest setdest speed
 }
 
 // ParseNS2 reads an NS-2 setdest script. The node count is taken from the
 // highest node index seen; field should be the scenario's area (positions
-// are clamped to it).
+// are clamped to it). Coordinates, times and speeds must be finite numbers:
+// a NaN would poison every later position and an infinite speed would make
+// the node teleport.
 func ParseNS2(r io.Reader, field geo.Rect) (*TraceModel, error) {
 	initial := map[int]geo.Point{}
 	legs := map[int][]traceLeg{}
@@ -66,8 +70,8 @@ func ParseNS2(r io.Reader, field geo.Rect) (*TraceModel, error) {
 			if len(fields) != 3 || fields[0] != "set" {
 				continue // e.g. "set Z_ 0.0" handled below; unknown -> skip
 			}
-			v, err := strconv.ParseFloat(fields[2], 64)
-			if err != nil {
+			v, ok := parseFinite(fields[2])
+			if !ok {
 				return nil, fmt.Errorf("line %d: bad coordinate %q", lineNo, fields[2])
 			}
 			p := initial[id]
@@ -92,8 +96,8 @@ func ParseNS2(r io.Reader, field geo.Rect) (*TraceModel, error) {
 			if sp < 0 {
 				return nil, fmt.Errorf("line %d: malformed at-command", lineNo)
 			}
-			t0, err := strconv.ParseFloat(rest[:sp], 64)
-			if err != nil {
+			t0, ok := parseFinite(rest[:sp])
+			if !ok {
 				return nil, fmt.Errorf("line %d: bad time %q", lineNo, rest[:sp])
 			}
 			cmd := strings.Trim(strings.TrimSpace(rest[sp+1:]), `"`)
@@ -110,7 +114,8 @@ func ParseNS2(r io.Reader, field geo.Rect) (*TraceModel, error) {
 			}
 			var vals [3]float64
 			for i, f := range fields[1:] {
-				if vals[i], err = strconv.ParseFloat(f, 64); err != nil {
+				var ok bool
+				if vals[i], ok = parseFinite(f); !ok {
 					return nil, fmt.Errorf("line %d: bad setdest arg %q", lineNo, f)
 				}
 			}
@@ -142,8 +147,17 @@ func ParseNS2(r io.Reader, field geo.Rect) (*TraceModel, error) {
 		ls := legs[id]
 		sort.SliceStable(ls, func(i, j int) bool { return ls[i].t0 < ls[j].t0 })
 		m.legs[id] = ls
+		for _, l := range ls {
+			m.maxSpeed = max(m.maxSpeed, l.speed)
+		}
 	}
 	return m, nil
+}
+
+// parseFinite parses a trace number; NaN and ±Inf do not count as numbers.
+func parseFinite(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 // parseNodeRef splits "$node_(7) rest..." into (7, "rest...").
@@ -194,3 +208,7 @@ func (m *TraceModel) N() int { return len(m.initial) }
 
 // Field implements Model.
 func (m *TraceModel) Field() geo.Rect { return m.field }
+
+// MaxSpeed implements Model: a replayed node never outruns the fastest
+// setdest command, and clamping to the field never lengthens a step.
+func (m *TraceModel) MaxSpeed() float64 { return m.maxSpeed }
