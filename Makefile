@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-sharded vet lint allowlist race cover bench bench-smoke figures campaign-smoke campaign-distributed-smoke live-smoke analysis experiments fuzz clean
+.PHONY: all build test vet lint allowlist race cover bench bench-smoke figures campaign-smoke campaign-distributed-smoke live-smoke analysis experiments fuzz clean
 
 all: build vet lint test
 
@@ -26,19 +26,13 @@ allowlist:
 test:
 	$(GO) test ./...
 
-# The same tier-1 suite with every simulation forced onto 2 engine shards
-# (golden corpus included): the cheap continuous proof that sharding is
-# behaviour-invariant, not just proven by the dedicated invariance tests.
-test-sharded:
-	ALERT_SHARDS=2 $(GO) test ./...
-
 # Race detection over the concurrency-bearing packages (the dynamic
 # backstop for the sharedstate analyzer): the harness worker pools, the
-# sharded event engine, the distributed campaign server (lease queue,
-# HTTP handlers, worker executor pools), the packages the fork-join
-# workers fan out over (medium position sweeps, node construction,
-# mobility walkers), and the live UDP daemons (pump goroutines, control
-# plane, coordinator).
+# fork-join world build (TestGoldenWorkerInvariance builds every golden
+# world on 2 and 4 workers; node construction and mobility walkers are
+# what it fans out over), the distributed campaign server (lease queue,
+# HTTP handlers, worker executor pools), and the live UDP daemons (pump
+# goroutines, control plane, coordinator).
 race:
 	$(GO) test -race ./internal/experiment ./internal/campaign \
 		./internal/campaign/server ./internal/sim \

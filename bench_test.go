@@ -466,20 +466,19 @@ func BenchmarkEnergyPerDelivered(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedThroughput measures the sharded event engine on the
-// 10k-node field it exists for: GPSR (the pure-geographic hot path) on a
-// 7000 m square with light CBR traffic, at 1, 2, 4 and 8 shards. Every
-// shard count simulates the byte-identical run — the determinism contract —
-// so the events/s column is a clean strong-scaling measurement of the
-// fork-join construction and position-sweep phases. On a single-CPU runner
-// the worker degree clamps to 1 and all rows read alike; the scaling claim
-// needs a multi-core machine (see EXPERIMENTS.md, "Sharded engine scaling").
-func BenchmarkShardedThroughput(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
+// BenchmarkLargeFieldPhases times the two phases of a 10k-node GPSR world
+// (7000 m square, paper density, light CBR traffic) apart: build_ms is
+// world construction (experiment.Build: rng streams, keys, walkers) and
+// events/s is the run phase alone (workload plus drain). Rows differ only
+// in Scenario.Workers, the build's parallel degree, so every row simulates
+// the byte-identical run; the run phase is serial in both. EXPERIMENTS.md
+// records the phase split measured on a 2-CPU machine.
+func BenchmarkLargeFieldPhases(b *testing.B) {
+	for _, workers := range []int{1, 2} {
 		// "=" rather than "-": benchjson strips a trailing -N as the
-		// GOMAXPROCS suffix, which would collapse the four rows to one name.
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+		// GOMAXPROCS suffix, which would collapse the rows to one name.
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			var build, run time.Duration
 			var events uint64
 			for i := 0; i < b.N; i++ {
 				sc := experiment.DefaultScenario()
@@ -490,15 +489,25 @@ func BenchmarkShardedThroughput(b *testing.B) {
 				sc.Duration = 5
 				sc.DrainTime = 2
 				sc.Seed = int64(i + 1)
-				sc.Shards = shards
-				res, w, err := experiment.RunWorld(sc, nil)
+				sc.Workers = workers
+				t0 := time.Now()
+				w, err := experiment.Build(sc)
 				if err != nil {
 					b.Fatal(err)
 				}
+				t1 := time.Now()
+				pairs := w.ChoosePairs()
+				w.StartWorkload(pairs)
+				if err := w.Drain(); err != nil {
+					b.Fatal(err)
+				}
+				build += t1.Sub(t0)
+				run += time.Since(t1)
 				events += w.Eng.Processed()
-				sink = res
+				sink = w.Collect(pairs)
 			}
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+			b.ReportMetric(build.Seconds()*1e3/float64(b.N), "build_ms")
+			b.ReportMetric(float64(events)/run.Seconds(), "events/s")
 		})
 	}
 }

@@ -8,6 +8,7 @@
 //	alertsim -protocol alert -speed 8 -no-updates
 //	alertsim -seeds 30                         # mean ± 95% CI over 30 runs
 //	alertsim -mobility group -groups 5 -grouprange 200
+//	alertsim -protocol gpsr -nodes 2000 -workers 2 # build the world on 2 goroutines
 package main
 
 import (
@@ -59,7 +60,7 @@ func main() {
 		pprofFile  = flag.String("pprof", "", "write a CPU profile to this file")
 		traceOut   = flag.String("trace", "", "write a Go execution trace to this file")
 		progress   = flag.Bool("progress", false, "with -seeds > 1, print a line as each seed finishes")
-		shards     = flag.Int("shards", 0, "event-engine shards, power of two (0 = unsharded); results are identical for any value")
+		workers    = flag.Int("workers", 0, "goroutines building the world (0 = serial); results are identical for any value")
 	)
 	flag.Parse()
 
@@ -104,7 +105,7 @@ func main() {
 	sc.Alert.Confirm = *confirm
 	sc.Alert.NAKs = *naks
 	sc.Workload = experiment.WorkloadName(*workload)
-	sc.Shards = *shards
+	sc.Workers = *workers
 
 	if err := sc.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"alertmanet/internal/telemetry"
@@ -49,16 +50,16 @@ func resultDigest(r Result) string {
 // goldenRun executes one paper-default run with a full telemetry tap
 // writing straight into a hash, returning the entry that pins it.
 func goldenRun(t *testing.T, proto ProtocolName) goldenEntry {
-	return goldenRunShards(t, proto, 0)
+	return goldenRunWorkers(t, proto, 0)
 }
 
-// goldenRunShards is goldenRun on a field partitioned into the given number
-// of event-engine shards (0 = the unsharded default).
-func goldenRunShards(t *testing.T, proto ProtocolName, shards int) goldenEntry {
+// goldenRunWorkers is goldenRun with the world built by the given number of
+// parallel workers (0 = the serial default).
+func goldenRunWorkers(t *testing.T, proto ProtocolName, workers int) goldenEntry {
 	t.Helper()
 	sc := DefaultScenario()
 	sc.Protocol = proto
-	sc.Shards = shards
+	sc.Workers = workers
 
 	h := sha256.New()
 	tap := telemetry.New(h, telemetry.LayerAll)
@@ -134,13 +135,16 @@ func TestGoldenRuns(t *testing.T) {
 	}
 }
 
-// TestGoldenShardInvariance is the sharded engine's determinism contract,
+// TestGoldenWorkerInvariance is the parallel build's determinism contract,
 // enforced against the committed corpus rather than a fresh baseline: every
 // protocol at paper defaults must produce the SAME Result digest and the
-// SAME telemetry stream digest for 2, 4 and 8 shards as the unsharded
-// golden entries. The corpus is deliberately NOT re-blessed for sharding —
-// partitioning the field is an execution strategy, not a behaviour change.
-func TestGoldenShardInvariance(t *testing.T) {
+// SAME telemetry stream digest with the world built by 2 and 4 workers as
+// the serial golden entries. GOMAXPROCS is raised so the workers really run
+// concurrently even on a one-CPU runner; under -race this is the data-race
+// probe for the build phases at paper scale.
+func TestGoldenWorkerInvariance(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("read golden corpus: %v", err)
@@ -154,15 +158,15 @@ func TestGoldenShardInvariance(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: missing from golden corpus", proto)
 		}
-		for _, shards := range []int{2, 4, 8} {
-			g := goldenRunShards(t, proto, shards)
+		for _, workers := range []int{2, 4} {
+			g := goldenRunWorkers(t, proto, workers)
 			if g.ResultDigest != w.ResultDigest {
-				t.Errorf("%s @ %d shards: Result digest %s, golden %s — sharding changed behaviour",
-					proto, shards, g.ResultDigest, w.ResultDigest)
+				t.Errorf("%s @ %d workers: Result digest %s, golden %s — the parallel build changed behaviour",
+					proto, workers, g.ResultDigest, w.ResultDigest)
 			}
 			if g.StreamDigest != w.StreamDigest {
-				t.Errorf("%s @ %d shards: stream digest %s, golden %s — sharding changed the event stream",
-					proto, shards, g.StreamDigest, w.StreamDigest)
+				t.Errorf("%s @ %d workers: stream digest %s, golden %s — the parallel build changed the event stream",
+					proto, workers, g.StreamDigest, w.StreamDigest)
 			}
 		}
 	}

@@ -46,12 +46,9 @@ func bruteSweep(m *Medium, from NodeID, rx *[]NodeID) {
 // runSweeps builds a fresh medium over mob and runs one broadcast sweep per
 // (instant, sender) pair — through the real bcastSend, or through bruteSweep
 // when brute is set.
-func runSweeps(mob mobility.Model, par Params, degree int, instants []float64,
+func runSweeps(mob mobility.Model, par Params, instants []float64,
 	senders []NodeID, brute bool) sweepOutcome {
 	eng := sim.NewEngine()
-	if degree > 1 {
-		eng.SetWorkers(sim.NewWorkers(degree))
-	}
 	med := MustNew(eng, mob, par, rng.New(91))
 	var out sweepOutcome
 	for id := range med.handlers {
@@ -139,26 +136,24 @@ func TestBroadcastSweepMatchesBruteForce(t *testing.T) {
 		}},
 	}
 	for _, mc := range models {
-		for _, degree := range []int{1, 2} {
-			snd := senders
-			if n := mc.mob().N(); n < 20 {
-				snd = []NodeID{0, NodeID(n - 1)}
-			}
-			got := runSweeps(mc.mob(), par, degree, instants, snd, false)
-			want := runSweeps(mc.mob(), par, degree, instants, snd, true)
-			if !slices.Equal(got.rx, want.rx) {
-				t.Fatalf("%s, degree %d: receivers\n got %v\nwant %v", mc.name, degree, got.rx, want.rx)
-			}
-			if got.delivered != want.delivered || got.dropRange != want.dropRange || got.dropLoss != want.dropLoss {
-				t.Fatalf("%s, degree %d: delivered/range/loss = %d/%d/%d, want %d/%d/%d", mc.name, degree,
-					got.delivered, got.dropRange, got.dropLoss, want.delivered, want.dropRange, want.dropLoss)
-			}
-			if got.nextDraw != want.nextDraw {
-				t.Fatalf("%s, degree %d: loss-coin stream diverged", mc.name, degree)
-			}
-			if want.delivered == 0 || want.dropLoss == 0 || want.dropRange == 0 {
-				t.Fatalf("%s, degree %d: degenerate oracle %+v", mc.name, degree, want)
-			}
+		snd := senders
+		if n := mc.mob().N(); n < 20 {
+			snd = []NodeID{0, NodeID(n - 1)}
+		}
+		got := runSweeps(mc.mob(), par, instants, snd, false)
+		want := runSweeps(mc.mob(), par, instants, snd, true)
+		if !slices.Equal(got.rx, want.rx) {
+			t.Fatalf("%s: receivers\n got %v\nwant %v", mc.name, got.rx, want.rx)
+		}
+		if got.delivered != want.delivered || got.dropRange != want.dropRange || got.dropLoss != want.dropLoss {
+			t.Fatalf("%s: delivered/range/loss = %d/%d/%d, want %d/%d/%d", mc.name,
+				got.delivered, got.dropRange, got.dropLoss, want.delivered, want.dropRange, want.dropLoss)
+		}
+		if got.nextDraw != want.nextDraw {
+			t.Fatalf("%s: loss-coin stream diverged", mc.name)
+		}
+		if want.delivered == 0 || want.dropLoss == 0 || want.dropRange == 0 {
+			t.Fatalf("%s: degenerate oracle %+v", mc.name, want)
 		}
 	}
 }

@@ -38,20 +38,11 @@ type Model interface {
 // call has — satisfied by *sim.Workers without importing it. Construction
 // loops whose per-index work is independent (per-node walkers with private
 // split rng streams) use it to build large fields on all cores; a nil
-// Forker means serial. Constructors branch on nil rather than funnel
-// through a helper so the serial path allocates no closures.
+// Forker means serial. Each constructor keeps its per-index body in one
+// range method that the serial path calls directly, so only the parallel
+// path allocates a closure.
 type Forker interface {
 	For(n int, fn func(lo, hi int))
-}
-
-// Preparer is implemented by models whose Position reads shared lazily
-// extended state (GroupMobility's group reference trajectories). Prepare
-// extends that state through time t, so subsequent Position calls at times
-// <= t mutate only per-id state and may safely run concurrently over
-// disjoint id ranges. Models without shared state (RandomWaypoint's and
-// Static's per-node state is already disjoint) do not implement it.
-type Preparer interface {
-	Prepare(t float64)
 }
 
 // leg is one straight movement segment: travel from 'from' toward 'to'
@@ -190,19 +181,19 @@ func NewRandomWaypoint(field geo.Rect, n int, cfg Config, src *rng.Source) *Rand
 	// every walker draws only from its own stream, so construction order is
 	// free: the parallel build is trajectory-identical to the serial one.
 	if cfg.Fork == nil {
-		for i := 0; i < n; i++ {
-			m.walkers[i] = newWalker(src.SplitIndex("rwp", i), field,
-				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
-		}
-		return m
+		m.buildWalkers(cfg, src, 0, n)
+	} else {
+		cfg.Fork.For(n, func(lo, hi int) { m.buildWalkers(cfg, src, lo, hi) })
 	}
-	cfg.Fork.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m.walkers[i] = newWalker(src.SplitIndex("rwp", i), field,
-				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
-		}
-	})
 	return m
+}
+
+// buildWalkers creates the walkers of nodes [lo, hi).
+func (m *RandomWaypoint) buildWalkers(cfg Config, src *rng.Source, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		m.walkers[i] = newWalker(src.SplitIndex("rwp", i), m.field,
+			cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
+	}
 }
 
 // Position implements Model.
@@ -293,42 +284,33 @@ func NewGroupMobility(field geo.Rect, n, numGroups int, groupRange float64,
 	// Members drift within their box at a fraction of the group speed,
 	// which keeps intra-group topology relatively stable — the property
 	// the paper leans on ("nodes are less randomly distributed in the
-	// group mobility model"). The loops are written out twice so the
-	// serial path allocates no closures.
+	// group mobility model").
 	if cfg.Fork == nil {
-		for gi := 0; gi < numGroups; gi++ {
-			g.refs[gi] = newWalker(src.SplitIndex("group-ref", gi), refField,
-				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
-		}
-		for i := 0; i < n; i++ {
-			g.groupOf[i] = i * numGroups / n
-			g.local[i] = newWalker(src.SplitIndex("group-local", i), localBox,
-				cfg.MinSpeed/2, cfg.MaxSpeed/2, cfg.Pause)
-		}
-		return g
+		g.buildRefs(cfg, src, refField, 0, numGroups)
+		g.buildLocals(cfg, src, localBox, 0, n)
+	} else {
+		cfg.Fork.For(numGroups, func(lo, hi int) { g.buildRefs(cfg, src, refField, lo, hi) })
+		cfg.Fork.For(n, func(lo, hi int) { g.buildLocals(cfg, src, localBox, lo, hi) })
 	}
-	cfg.Fork.For(numGroups, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			g.refs[gi] = newWalker(src.SplitIndex("group-ref", gi), refField,
-				cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
-		}
-	})
-	cfg.Fork.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g.groupOf[i] = i * numGroups / n
-			g.local[i] = newWalker(src.SplitIndex("group-local", i), localBox,
-				cfg.MinSpeed/2, cfg.MaxSpeed/2, cfg.Pause)
-		}
-	})
 	return g
 }
 
-// Prepare implements Preparer: it extends every group's shared reference
-// trajectory through time t, after which Position calls at times <= t only
-// read the reference legs and mutate the caller's own local walker.
-func (g *GroupMobility) Prepare(t float64) {
-	for _, r := range g.refs {
-		r.extend(t)
+// buildRefs creates the reference-point walkers of groups [lo, hi).
+func (g *GroupMobility) buildRefs(cfg Config, src *rng.Source, box geo.Rect, lo, hi int) {
+	for gi := lo; gi < hi; gi++ {
+		g.refs[gi] = newWalker(src.SplitIndex("group-ref", gi), box,
+			cfg.MinSpeed, cfg.MaxSpeed, cfg.Pause)
+	}
+}
+
+// buildLocals assigns nodes [lo, hi) to their groups and creates their
+// local walkers.
+func (g *GroupMobility) buildLocals(cfg Config, src *rng.Source, box geo.Rect, lo, hi int) {
+	n, numGroups := len(g.local), len(g.refs)
+	for i := lo; i < hi; i++ {
+		g.groupOf[i] = i * numGroups / n
+		g.local[i] = newWalker(src.SplitIndex("group-local", i), box,
+			cfg.MinSpeed/2, cfg.MaxSpeed/2, cfg.Pause)
 	}
 }
 

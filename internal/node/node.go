@@ -74,6 +74,11 @@ type Config struct {
 	// associate pseudonyms with nodes (Section 2.2). Zero disables
 	// rotation after the initial assignment.
 	PseudonymLifetime float64
+	// Fork, when non-nil, builds the nodes in parallel. Each node's rng
+	// stream, key pair and initial pseudonym derive only from index-split
+	// sources, so the network is identical for any degree; only build wall
+	// time changes. Nil builds serially.
+	Fork *sim.Workers
 }
 
 // DefaultConfig rotates pseudonyms every 10 seconds.
@@ -93,37 +98,10 @@ func NewNetwork(eng *sim.Engine, med *medium.Medium, suite crypt.Suite,
 	}
 	n := med.N()
 	net.Nodes = make([]*Node, n)
-	// Per-node creation forks across the engine's worker pool: each node's
-	// rng stream, key pair and initial pseudonym derive only from
-	// index-split sources (SplitIndex reads the immutable parent seed), so
-	// the built world is byte-identical for any worker degree. The serial
-	// degree keeps its own loop so an unsharded build allocates no closure.
-	if w := eng.Workers(); w.Degree() > 1 {
-		w.For(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				nd := &Node{
-					ID:  medium.NodeID(i),
-					MAC: 0x02_00_00_00_00_00 | uint64(i), // locally-administered space
-					net: net,
-					rnd: net.rnd.SplitIndex("n", i),
-				}
-				nd.Pub, nd.Priv = suite.GenerateKeyPair(i)
-				nd.rotatePseudonym()
-				net.Nodes[i] = nd
-			}
-		})
+	if cfg.Fork == nil {
+		net.buildNodes(0, n)
 	} else {
-		for i := 0; i < n; i++ {
-			nd := &Node{
-				ID:  medium.NodeID(i),
-				MAC: 0x02_00_00_00_00_00 | uint64(i), // locally-administered space
-				net: net,
-				rnd: net.rnd.SplitIndex("n", i),
-			}
-			nd.Pub, nd.Priv = suite.GenerateKeyPair(i)
-			nd.rotatePseudonym()
-			net.Nodes[i] = nd
-		}
+		cfg.Fork.For(n, net.buildNodes)
 	}
 	if cfg.PseudonymLifetime > 0 {
 		for _, nd := range net.Nodes {
@@ -136,6 +114,22 @@ func NewNetwork(eng *sim.Engine, med *medium.Medium, suite crypt.Suite,
 		}
 	}
 	return net
+}
+
+// buildNodes creates nodes [lo, hi): MAC address, private rng stream, key
+// pair and initial pseudonym.
+func (net *Network) buildNodes(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		nd := &Node{
+			ID:  medium.NodeID(i),
+			MAC: 0x02_00_00_00_00_00 | uint64(i), // locally-administered space
+			net: net,
+			rnd: net.rnd.SplitIndex("n", i),
+		}
+		nd.Pub, nd.Priv = net.Suite.GenerateKeyPair(i)
+		nd.rotatePseudonym()
+		net.Nodes[i] = nd
+	}
 }
 
 func (n *Node) rotatePseudonym() {

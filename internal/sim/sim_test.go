@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -284,6 +285,52 @@ func TestTickerZeroIntervalPanics(t *testing.T) {
 	e.Ticker(0, 0, func(Time) {})
 }
 
+// NaN times must be refused where they enter the engine: a NaN event would
+// compare false against every timestamp, fire after all finite events and
+// set Now() to NaN, and a NaN ticker would re-arm until the event budget ran
+// out. Each call must panic and leave the engine untouched.
+func TestNaNTimesPanic(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		call func(e *Engine)
+	}{
+		{"At(NaN)", func(e *Engine) { e.At(nan, func() {}) }},
+		{"AtRunner(NaN)", func(e *Engine) { e.AtRunner(nan, nopRunner{}) }},
+		{"Schedule(NaN)", func(e *Engine) { e.Schedule(nan, func() {}) }},
+		{"ScheduleRunner(NaN)", func(e *Engine) { e.ScheduleRunner(nan, nopRunner{}) }},
+		{"TickerUntil NaN interval", func(e *Engine) { e.TickerUntil(0.5, nan, 3, func(Time) {}) }},
+		{"TickerUntil negative interval", func(e *Engine) { e.TickerUntil(0.5, -1, 3, func(Time) {}) }},
+		{"TickerUntil NaN start", func(e *Engine) { e.TickerUntil(nan, 1, 3, func(Time) {}) }},
+		{"TickerUntil NaN until", func(e *Engine) { e.TickerUntil(0.5, 1, nan, func(Time) {}) }},
+		{"Ticker infinite start", func(e *Engine) { e.Ticker(inf, 1, func(Time) {}) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			e.Schedule(1, func() {})
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s did not panic", c.name)
+					}
+				}()
+				c.call(e)
+			}()
+			if e.Pending() != 1 {
+				t.Fatalf("%s left %d events pending, want the 1 scheduled before it", c.name, e.Pending())
+			}
+			if err := e.Run(); err != nil || e.Now() != 1 {
+				t.Fatalf("after %s: Run() = %v, Now() = %v, want nil and 1", c.name, err, e.Now())
+			}
+		})
+	}
+}
+
+type nopRunner struct{}
+
+func (nopRunner) RunEvent() {}
+
 func TestProcessedCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
@@ -372,5 +419,43 @@ func BenchmarkTickerChain(b *testing.B) {
 		stop := e.Ticker(0.5, 1, func(Time) {})
 		e.RunUntil(1000)
 		stop()
+	}
+}
+
+// heapChurn is a self-rescheduling Runner: every fire schedules one event a
+// pseudo-random delay in [0, 1) s ahead, so the pending count stays constant
+// and each Step is exactly one pop plus one push.
+type heapChurn struct {
+	e *Engine
+	x uint64 // xorshift64 state
+}
+
+func (c *heapChurn) RunEvent() {
+	c.x ^= c.x << 13
+	c.x ^= c.x >> 7
+	c.x ^= c.x << 17
+	c.e.ScheduleRunner(float64(c.x>>11)/(1<<53), c)
+}
+
+// BenchmarkEventHeap measures the event queue alone: steady-state
+// schedule+pop with a fixed number of events pending. One op is one Step.
+func BenchmarkEventHeap(b *testing.B) {
+	for _, pending := range []int{1000, 100000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			e := NewEngine()
+			c := &heapChurn{e: e, x: 88172645463325252}
+			for i := 0; i < pending; i++ {
+				c.RunEvent()
+			}
+			// Warm the free pool and the id map to their steady state.
+			for i := 0; i < 2*pending; i++ {
+				e.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
 	}
 }

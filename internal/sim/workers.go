@@ -2,15 +2,15 @@ package sim
 
 import "sync"
 
-// Workers is the fork-join helper for the engine's golden-safe parallel
-// phases: pure per-index work (per-node world build, position-grid sweeps,
-// broadcast range filters) whose outputs are written to disjoint slots and
+// Workers is the fork-join helper for golden-safe parallel world
+// construction: pure per-index work (per-node key pairs and pseudonyms,
+// per-node mobility walkers) whose outputs are written to disjoint slots and
 // whose inputs are immutable for the duration of the call. Nothing that
 // draws from a shared rng stream, touches the event queue, or appends to a
 // shared slice may run under For — those stay sequential so the byte-exact
 // determinism contract holds for every worker degree.
 //
-// Work is split into exactly Degree contiguous chunks with a fixed rule, so
+// Work is split into at most degree contiguous chunks with a fixed rule, so
 // the set of (lo, hi) calls is a pure function of (n, degree) — degree
 // changes never change results, only wall time. Goroutines are spawned per
 // call and joined before For returns: no persistent pool to leak across the
@@ -18,10 +18,6 @@ import "sync"
 type Workers struct {
 	degree int
 }
-
-// serialWorkers is the shared degree-1 pool every engine starts with; For
-// runs inline, spawning nothing.
-var serialWorkers = &Workers{degree: 1}
 
 // NewWorkers returns a pool of the given parallel degree; degrees below 1
 // are clamped to 1 (serial).
@@ -32,15 +28,13 @@ func NewWorkers(degree int) *Workers {
 	return &Workers{degree: degree}
 }
 
-// Degree returns the parallel degree.
-func (w *Workers) Degree() int { return w.degree }
-
 // forMinPerChunk is the smallest per-chunk item count worth a goroutine:
 // below this the spawn/join overhead dominates the work.
 const forMinPerChunk = 32
 
-// For calls fn over a partition of [0, n) into at most Degree contiguous
-// chunks, concurrently, and returns when every call has. fn must satisfy the
+// For calls fn over a partition of [0, n) into at most degree contiguous
+// chunks of at least forMinPerChunk items (one chunk when n is smaller),
+// concurrently, and returns when every call has. fn must satisfy the
 // contract in the type comment: disjoint writes, immutable reads, no shared
 // rng draws.
 func (w *Workers) For(n int, fn func(lo, hi int)) {

@@ -10,8 +10,8 @@ import (
 func TestWorkersForCoverage(t *testing.T) {
 	for _, deg := range []int{-1, 0, 1, 2, 3, 4, 8, 16} {
 		w := NewWorkers(deg)
-		if w.Degree() < 1 {
-			t.Fatalf("NewWorkers(%d).Degree() = %d", deg, w.Degree())
+		if w.degree < 1 {
+			t.Fatalf("NewWorkers(%d) has degree %d", deg, w.degree)
 		}
 		for _, n := range []int{0, 1, 31, 32, 33, 64, 100, 1000} {
 			visits := make([]int32, n)
@@ -43,26 +43,4 @@ func TestWorkersForSmallInputInline(t *testing.T) {
 		t.Fatalf("small input split into %v", chunks)
 	}
 	w.For(0, func(lo, hi int) { t.Error("For(0) called fn") })
-}
-
-// The default engine pool is serial; SetWorkers(nil) restores it.
-func TestEngineWorkers(t *testing.T) {
-	e := NewEngine()
-	if e.Workers() == nil || e.Workers().Degree() != 1 {
-		t.Fatalf("default workers = %+v", e.Workers())
-	}
-	w := NewWorkers(4)
-	e.SetWorkers(w)
-	if e.Workers() != w {
-		t.Fatal("SetWorkers did not attach the pool")
-	}
-	e.SetWorkers(nil)
-	if e.Workers() == nil || e.Workers().Degree() != 1 {
-		t.Fatal("SetWorkers(nil) did not restore the serial pool")
-	}
-	e.SetWorkers(w)
-	e.Reset()
-	if e.Workers().Degree() != 1 {
-		t.Fatal("Reset did not restore the serial pool")
-	}
 }
