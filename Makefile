@@ -153,6 +153,7 @@ fuzz:
 	$(GO) test ./internal/sim -fuzz FuzzSchedule -fuzztime 30s
 	$(GO) test ./internal/live -fuzz FuzzWireCodec -fuzztime 30s
 	$(GO) test ./internal/rng -fuzz FuzzSourceMatchesStdlib -fuzztime 30s
+	$(GO) test ./internal/rng -fuzz FuzzReseedMatchesStdlib -fuzztime 30s
 	$(GO) test ./internal/geo -fuzz FuzzWithinMatchesDist -fuzztime 30s
 
 # BENCH_pr3/pr4/pr6/pr8/pr9/pr10.json are committed comparison baselines,

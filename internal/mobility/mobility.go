@@ -9,6 +9,7 @@
 package mobility
 
 import (
+	"math"
 	"sort"
 
 	"alertmanet/internal/geo"
@@ -360,7 +361,7 @@ func NodesInInto(m Model, zone geo.Rect, t float64, dst []int) []int {
 // distance. It returns (-1, +Inf) for an empty model.
 func Nearest(m Model, p geo.Point, t float64) (int, float64) {
 	best := -1
-	bestD2 := 1e300
+	bestD2 := math.Inf(1)
 	for id := 0; id < m.N(); id++ {
 		d2 := m.Position(id, t).Dist2(p)
 		if d2 < bestD2 {
@@ -368,7 +369,7 @@ func Nearest(m Model, p geo.Point, t float64) (int, float64) {
 		}
 	}
 	if best < 0 {
-		return -1, 1e300
+		return -1, math.Inf(1)
 	}
 	return best, m.Position(best, t).Dist(p)
 }

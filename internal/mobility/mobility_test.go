@@ -292,9 +292,12 @@ func TestNearest(t *testing.T) {
 
 func TestNearestEmpty(t *testing.T) {
 	m := NewStatic(field, 0, rng.New(18))
-	id, _ := Nearest(m, geo.Point{}, 0)
+	id, d := Nearest(m, geo.Point{}, 0)
 	if id != -1 {
 		t.Fatal("empty model should return -1")
+	}
+	if !math.IsInf(d, 1) {
+		t.Fatalf("empty model distance = %v, want +Inf", d)
 	}
 }
 

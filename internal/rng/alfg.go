@@ -9,13 +9,25 @@ import "math/rand"
 //
 // Only seeding differs. The stdlib derives the 607-word state from 1,841
 // serial Park–Miller steps x·48271 mod (2³¹−1), each waiting on the one
-// before. Step k is just seed·48271^k mod (2³¹−1), so Seed multiplies the
-// seed by a precomputed power per step instead: the products are
-// independent and reduce by Mersenne-prime folding, with no division.
+// before. Step k is just seed·48271^k mod (2³¹−1), so any state word is
+// the seed times three precomputed powers: the products are independent
+// and reduce by Mersenne-prime folding, with no division.
+//
+// That makes the state table optional for a stream's first draws. Draw j
+// reads the feed word at alfgLen-alfgTap-1-j and the tap word at
+// alfgLen-1-j and writes the sum back to the feed word. Below j =
+// alfgTap the tap word lies above every feed word written so far, and
+// the feed word is the next one down, so both are still as seeded: the
+// draw is the sum of two seeded words, computed straight from the seed.
+// Most streams never draw that far. The table is allocated and seeded
+// only on draw alfgTap, which replays the draws already served through
+// the ordinary step and carries on from there.
 type alfg struct {
+	x    uint64 // reduced seed, in [1, 2³¹−1)
+	n    int    // draws served while vec is nil
 	tap  int
 	feed int
-	vec  [alfgLen]int64
+	vec  *[alfgLen]int64 // nil until draw alfgTap
 }
 
 const (
@@ -96,20 +108,29 @@ func mulMod(x uint64, a uint32) uint64 {
 	return p&int32max + p>>31
 }
 
+// seedWord returns the seeder's word i for the reduced seed x. Word i
+// packs three consecutive Park–Miller values at bit offsets 40, 20 and 0,
+// the top bits of the first shifted out.
+func seedWord(x uint64, i int) int64 {
+	k := &seedPow[i]
+	return int64(mulMod(x, k[0])<<40 ^ mulMod(x, k[1])<<20 ^ mulMod(x, k[2]))
+}
+
 // seedWords sets each vec[i] to the seeder's word i for the reduced seed x
-// xored with mask[i]. Word i packs three consecutive Park–Miller values at
-// bit offsets 40, 20 and 0, the top bits of the first shifted out.
+// xored with mask[i].
 func seedWords(vec, mask *[alfgLen]int64, x uint64) {
 	for i := range vec {
-		k := &seedPow[i]
-		vec[i] = int64(mulMod(x, k[0])<<40^mulMod(x, k[1])<<20^mulMod(x, k[2])) ^ mask[i]
+		vec[i] = seedWord(x, i) ^ mask[i]
 	}
 }
 
-// Seed sets the state rand.NewSource(seed) starts from.
+// Seed resets the generator to the state rand.NewSource(seed) starts
+// from, with the table not yet materialised.
 func (r *alfg) Seed(seed int64) {
 	r.tap = 0
 	r.feed = alfgLen - alfgTap
+	r.n = 0
+	r.vec = nil
 
 	seed %= int32max
 	if seed < 0 {
@@ -118,25 +139,62 @@ func (r *alfg) Seed(seed int64) {
 	if seed == 0 {
 		seed = zeroSeed
 	}
-	seedWords(&r.vec, &cooked, uint64(seed))
+	r.x = uint64(seed)
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
+// Int63 returns a non-negative pseudo-random 63-bit integer. It repeats
+// Uint64's body rather than calling it, so that step inlines into both.
 func (r *alfg) Int63() int64 {
-	return int64(r.Uint64() & (1<<63 - 1))
+	if r.vec == nil {
+		return int64(r.lazy() & (1<<63 - 1))
+	}
+	return int64(r.step() & (1<<63 - 1))
 }
 
-// Uint64 advances the generator with the stdlib's exact tap/feed update.
+// Uint64 returns a pseudo-random 64-bit value.
 func (r *alfg) Uint64() uint64 {
-	r.tap--
-	if r.tap < 0 {
-		r.tap += alfgLen
+	if r.vec == nil {
+		return r.lazy()
 	}
-	r.feed--
-	if r.feed < 0 {
-		r.feed += alfgLen
+	return r.step()
+}
+
+// lazy serves a draw while the table is nil: draws below alfgTap straight
+// from the seed, then draw alfgTap by materialising the table.
+func (r *alfg) lazy() uint64 {
+	j := r.n
+	if j == alfgTap {
+		r.materialise()
+		return r.step()
 	}
-	x := r.vec[r.feed] + r.vec[r.tap]
-	r.vec[r.feed] = x
+	r.n++
+	feed, tap := alfgLen-alfgTap-1-j, alfgLen-1-j
+	return uint64((seedWord(r.x, feed) ^ cooked[feed]) + (seedWord(r.x, tap) ^ cooked[tap]))
+}
+
+// materialise allocates and seeds the table, then replays the n draws
+// already served so that tap, feed and the table stand where eager
+// seeding would have left them.
+func (r *alfg) materialise() {
+	r.vec = new([alfgLen]int64)
+	seedWords(r.vec, &cooked, r.x)
+	for i := 0; i < r.n; i++ {
+		r.step()
+	}
+}
+
+// step advances the table with the stdlib's exact tap/feed update.
+func (r *alfg) step() uint64 {
+	vec := r.vec
+	tap, feed := r.tap-1, r.feed-1
+	if tap < 0 {
+		tap += alfgLen
+	}
+	if feed < 0 {
+		feed += alfgLen
+	}
+	r.tap, r.feed = tap, feed
+	x := vec[feed] + vec[tap]
+	vec[feed] = x
 	return uint64(x)
 }

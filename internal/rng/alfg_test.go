@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -23,11 +24,10 @@ func equivalenceSeeds() []int64 {
 	return seeds
 }
 
-// checkDraws compares n draws of a freshly seeded alfg against
+// checkDraws seeds got and compares its next n draws against
 // rand.NewSource(seed), alternating Uint64 and Int63.
-func checkDraws(t *testing.T, seed int64, n int) {
+func checkDraws(t *testing.T, got *alfg, seed int64, n int) {
 	t.Helper()
-	var got alfg
 	got.Seed(seed)
 	want := rand.NewSource(seed).(rand.Source64)
 	for i := 0; i < n; i++ {
@@ -43,28 +43,11 @@ func checkDraws(t *testing.T, seed int64, n int) {
 
 func TestSourceMatchesStdlib(t *testing.T) {
 	for _, seed := range equivalenceSeeds() {
-		checkDraws(t, seed, drawsPerSeed)
+		checkDraws(t, new(alfg), seed, drawsPerSeed)
 
 		got := rand.New(new(alfg))
 		got.Seed(seed)
-		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 8; i++ {
-			if g, w := got.Float64(), want.Float64(); g != w {
-				t.Fatalf("seed %d: Float64 draw %d = %v, stdlib %v", seed, i, g, w)
-			}
-			if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
-				t.Fatalf("seed %d: ExpFloat64 draw %d = %v, stdlib %v", seed, i, g, w)
-			}
-			if g, w := got.Intn(1000+i), want.Intn(1000+i); g != w {
-				t.Fatalf("seed %d: Intn draw %d = %d, stdlib %d", seed, i, g, w)
-			}
-		}
-		g, w := got.Perm(50), want.Perm(50)
-		for i := range g {
-			if g[i] != w[i] {
-				t.Fatalf("seed %d: Perm(50) = %v, stdlib %v", seed, g, w)
-			}
-		}
+		checkHelpers(t, got, rand.New(rand.NewSource(seed)), seed)
 	}
 }
 
@@ -75,7 +58,96 @@ func FuzzSourceMatchesStdlib(f *testing.F) {
 	f.Add(int64(math.MinInt64), uint16(alfgLen))
 	f.Add(int64(math.MaxInt64), uint16(5000))
 	f.Fuzz(func(t *testing.T, seed int64, nDraws uint16) {
-		checkDraws(t, seed, int(nDraws))
+		checkDraws(t, new(alfg), seed, int(nDraws))
+	})
+}
+
+// lazyStops are draw counts around the lazy window's edges: its start,
+// the last lazily served draw (alfgTap), the materialising one, the
+// feed index wrapping (alfgLen-alfgTap) and the first lag cycle's end.
+var lazyStops = []int{0, 1, alfgTap - 1, alfgTap, alfgTap + 1,
+	alfgLen - alfgTap, alfgLen, alfgLen + 1}
+
+// TestLazyWindowMatchesStdlib stops fresh streams at each of lazyStops
+// raw draws, checks that the table exists exactly once more than alfgTap
+// draws have been served, then carries on through rand.Rand's helpers,
+// which consume a varying number of draws and so straddle the boundary
+// at different offsets.
+func TestLazyWindowMatchesStdlib(t *testing.T) {
+	for _, seed := range equivalenceSeeds() {
+		for _, stop := range lazyStops {
+			gen := new(alfg)
+			checkDraws(t, gen, seed, stop)
+			if lazy := gen.vec == nil; lazy != (stop <= alfgTap) {
+				t.Fatalf("seed %d: after %d draws vec == nil is %v", seed, stop, lazy)
+			}
+			want := rand.NewSource(seed)
+			for i := 0; i < stop; i++ {
+				want.Int63()
+			}
+			checkHelpers(t, rand.New(gen), rand.New(want), seed)
+		}
+	}
+}
+
+// checkHelpers compares got's Float64, ExpFloat64, Intn and Perm draws
+// against want's.
+func checkHelpers(t *testing.T, got, want *rand.Rand, seed int64) {
+	t.Helper()
+	for i := 0; i < 8; i++ {
+		if g, w := got.Float64(), want.Float64(); g != w {
+			t.Fatalf("seed %d: Float64 draw %d = %v, stdlib %v", seed, i, g, w)
+		}
+		if g, w := got.ExpFloat64(), want.ExpFloat64(); g != w {
+			t.Fatalf("seed %d: ExpFloat64 draw %d = %v, stdlib %v", seed, i, g, w)
+		}
+		if g, w := got.Intn(1000+i), want.Intn(1000+i); g != w {
+			t.Fatalf("seed %d: Intn draw %d = %d, stdlib %d", seed, i, g, w)
+		}
+	}
+	g, w := got.Perm(50), want.Perm(50)
+	for i := range g {
+		if g[i] != w[i] {
+			t.Fatalf("seed %d: Perm(50) = %v, stdlib %v", seed, g, w)
+		}
+	}
+}
+
+// TestReseedMatchesStdlib re-seeds streams whose tables have
+// materialised, through rand.Rand.Seed as callers do, and checks that the
+// stream is lazy again and draws what a fresh stdlib source draws.
+func TestReseedMatchesStdlib(t *testing.T) {
+	gen := new(alfg)
+	s := rand.New(gen)
+	s.Seed(1)
+	for _, seed := range equivalenceSeeds()[:40] {
+		for i := 0; i < alfgLen; i++ {
+			s.Int63()
+		}
+		if gen.vec == nil {
+			t.Fatal("table not materialised after a full lag cycle")
+		}
+		s.Seed(seed)
+		if gen.vec != nil {
+			t.Fatalf("seed %d: re-seeding kept the table", seed)
+		}
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < drawsPerSeed; i++ {
+			if g, w := s.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d: draw %d after re-seed = %d, stdlib %d", seed, i, g, w)
+			}
+		}
+	}
+}
+
+func FuzzReseedMatchesStdlib(f *testing.F) {
+	f.Add(int64(1), uint16(alfgTap), int64(2), uint16(alfgTap+1))
+	f.Add(int64(0), uint16(drawsPerSeed), int64(int32max), uint16(3))
+	f.Add(int64(math.MinInt64), uint16(alfgTap+1), int64(math.MinInt64), uint16(alfgLen))
+	f.Fuzz(func(t *testing.T, seed1 int64, n1 uint16, seed2 int64, n2 uint16) {
+		gen := new(alfg)
+		checkDraws(t, gen, seed1, int(n1))
+		checkDraws(t, gen, seed2, int(n2))
 	})
 }
 
@@ -132,7 +204,46 @@ func TestChildSeedsMatchFNV(t *testing.T) {
 
 func TestSplitAllocs(t *testing.T) {
 	root := New(3).Split("net")
-	if n := testing.AllocsPerRun(100, func() { root.SplitIndex("node", 12345) }); n > 2 {
+	split := func() { root.SplitIndex("node", 12345) }
+	if n := testing.AllocsPerRun(100, split); n > 2 {
 		t.Errorf("SplitIndex allocates %v objects, want at most 2 (stream and path)", n)
+	}
+	if b := bytesPerRun(100, split); b > 256 {
+		t.Errorf("SplitIndex allocates %v bytes, want at most 256 (no lag table)", b)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f
+// allocates per call, averaged over runs calls after one warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestLazyDrawsAllocateNothing pins when the lag table is paid for: never
+// within the lazy window, and by exactly one allocation on the draw
+// after it.
+func TestLazyDrawsAllocateNothing(t *testing.T) {
+	s := New(3).SplitIndex("node", 7)
+	draw := func(n int) func() {
+		return func() {
+			s.Seed(11)
+			for i := 0; i < n; i++ {
+				s.Int63()
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, draw(alfgTap)); n != 0 {
+		t.Errorf("the first %d draws allocate %v objects, want 0", alfgTap, n)
+	}
+	if n := testing.AllocsPerRun(100, draw(alfgTap+1)); n != 1 {
+		t.Errorf("the first %d draws allocate %v objects, want 1 (the lag table)", alfgTap+1, n)
 	}
 }
